@@ -39,6 +39,11 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== gpu: executor unit tests + interpreter/scheduler differential suite =="
+# Every differential case runs under Scheduler::Serial and a 4-worker
+# Scheduler::Parallel; memory and ExecStats must match across both.
+cargo test --release -q -p nvbit-gpu
+
 echo "== verify_all: every tool x every workload, zero diagnostics =="
 # Lifts and instruments every bundled tool against every workload kernel
 # (fft pipeline, SPECAccel suite, ML models) and requires the pre-swap

@@ -5,6 +5,8 @@
 //! figure of the evaluation; see `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.
 
+pub mod apps;
+
 use cuda::Driver;
 use gpu::DeviceSpec;
 use nvbit::{NvbitApi, NvbitTool, OverheadReport};

@@ -1,6 +1,6 @@
 //! The device: memory, decode cache and launch orchestration.
 
-use crate::executor::{CtaCtx, DecodeCache, ExecEnv, Warp};
+use crate::executor::{CodeView, CtaCtx, DecodeCache, ExecEnv, Warp};
 use crate::mem::{Memory, SharedMem};
 use crate::spec::{DeviceSpec, Dim3};
 use crate::stats::ExecStats;
@@ -172,7 +172,7 @@ impl Device {
         Device {
             spec,
             mem,
-            decode_cache: DecodeCache::new(),
+            decode_cache: DecodeCache::default(),
             decode_cache_enabled: true,
             scheduler: Scheduler::default(),
             launches: 0,
@@ -448,7 +448,7 @@ impl Device {
 #[allow(clippy::too_many_arguments)]
 fn run_cta(
     spec: &DeviceSpec,
-    mem: &SharedMem,
+    mem: &SharedMem<'_>,
     snapshot: &DecodeCache,
     decode_cache_enabled: bool,
     cfg: &LaunchConfig,
@@ -466,13 +466,12 @@ fn run_cta(
         ((cta_linear / g.x as u64) % g.y as u64) as u32,
         (cta_linear / (g.x as u64 * g.y as u64)) as u32,
     );
+    let mut code = CodeView::new(snapshot, decode_cache_enabled);
     let mut env = ExecEnv {
         spec,
         mem,
-        snapshot,
-        overlay: DecodeCache::new(),
-        decode_cache_enabled,
         stats: ExecStats::default(),
+        counts: Default::default(),
         grid: cfg.grid,
         block: cfg.block,
         cbanks,
@@ -510,7 +509,7 @@ fn run_cta(
                 continue;
             }
             progressed = true;
-            if let Err(e) = env.run_warp(w, &mut cta) {
+            if let Err(e) = env.run_warp(&mut code, w, &mut cta) {
                 fault = Some(e);
                 break;
             }
@@ -534,7 +533,8 @@ fn run_cta(
             });
         }
     };
-    (result.map(|()| env.stats), env.overlay)
+    env.counts.fold_into(&mut env.stats);
+    (result.map(|()| env.stats), code.overlay)
 }
 
 #[cfg(test)]
@@ -596,6 +596,44 @@ mod tests {
         assert_eq!(stats.thread_instructions, 3 * 128);
         assert!(stats.cycles > 0);
         assert_eq!(stats.per_op["IADD"], 4);
+    }
+
+    #[test]
+    fn per_op_and_per_category_each_sum_to_warp_instructions() {
+        let mut dev = Device::new(DeviceSpec::test(Arch::Volta));
+        // Divergence, a predicated exit, global memory and an atomic, so
+        // several categories and partially active warps appear.
+        let pc = load(
+            &mut dev,
+            "S2R R4, SR_TID.X ;\n\
+             LOP.AND R5, R4, 0x1 ;\n\
+             ISETP.EQ.S32 P0, R5, RZ ;\n\
+             SSY join ;\n\
+             @P0 BRA even ;\n\
+             MOV32I R5, 0x64 ;\n\
+             SYNC ;\n\
+             even:\n\
+             MOV32I R5, 0xc8 ;\n\
+             SYNC ;\n\
+             join:\n\
+             ISETP.GE.S32 P1, R4, 0x28 ;\n\
+             @P1 EXIT ;\n\
+             LDC.64 R6, c[0x0][0x160] ;\n\
+             SHL R8, R4, 0x2 ;\n\
+             MOV R9, RZ ;\n\
+             IADD.U64 R6, R6, R8 ;\n\
+             STG [R6], R5 ;\n\
+             LDG R10, [R6] ;\n\
+             RED.ADD [R6], R10 ;\n\
+             EXIT ;",
+        );
+        let buf = dev.alloc(256).unwrap();
+        let mut cfg = LaunchConfig::new(pc, Dim3::linear(3), Dim3::linear(64));
+        cfg.push_param_u64(buf);
+        let s = dev.launch(&cfg).unwrap();
+        assert!(s.per_category.len() >= 5, "{:?}", s.per_category);
+        assert_eq!(s.per_op.values().sum::<u64>(), s.warp_instructions);
+        assert_eq!(s.per_category.values().sum::<u64>(), s.warp_instructions);
     }
 
     #[test]

@@ -21,12 +21,12 @@
 
 use crate::mem::SharedMem;
 use crate::spec::{DeviceSpec, Dim3};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, OpCounts};
 use crate::{GpuError, Result};
 use sass::op::IType;
 use sass::{CmpOp, Instruction, Op, Operand, Reg, SpecialReg, SubOp};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const WARP: usize = 32;
 /// Per-CTA warp-instruction budget; a runaway kernel faults instead of
@@ -36,7 +36,103 @@ const STEP_LIMIT: u64 = 2_000_000_000;
 
 /// A decoded-instruction cache keyed by fetch address, each entry holding
 /// the raw encoding it was decoded from (for revalidation under patching).
-pub(crate) type DecodeCache = HashMap<u64, (u128, Arc<Instruction>)>;
+/// Boxing the instruction keeps the table's buckets small.
+pub(crate) type DecodeCache = HashMap<u64, (u128, Box<Instruction>), BuildHasherDefault<PcHasher>>;
+
+/// Hashes instruction addresses for [`DecodeCache`]: one multiply plus a
+/// fold of the high half into the low half. Code addresses are multiples
+/// of the instruction size, so a bare multiply would leave the low bits
+/// (the table's bucket index) constant. The keys are addresses the
+/// executor fetches from, so colliding keys can only slow a simulation
+/// down, which is why SipHash's flooding resistance is not needed here.
+#[derive(Default)]
+pub(crate) struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, pc: u64) {
+        let h = pc.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One CTA's view of the decode cache: the launch-wide snapshot, read
+/// shared by every worker, plus the entries this CTA decoded itself.
+/// Fetches hand out borrows, so a warp step writes no cache line that
+/// another worker reads.
+pub(crate) struct CodeView<'d> {
+    /// Immutable per-launch snapshot of the device decode cache.
+    snapshot: &'d DecodeCache,
+    /// Entries this CTA decoded; merged back in CTA-linear order after the
+    /// launch so cross-launch cache state is scheduler-independent.
+    pub overlay: DecodeCache,
+    enabled: bool,
+    /// Holds the latest decode while the cache is disabled.
+    uncached: Option<Instruction>,
+}
+
+impl<'d> CodeView<'d> {
+    pub fn new(snapshot: &'d DecodeCache, enabled: bool) -> CodeView<'d> {
+        CodeView { snapshot, overlay: DecodeCache::default(), enabled, uncached: None }
+    }
+
+    /// Fetches and decodes the `isize`-byte instruction at `pc`, which the
+    /// caller has checked for alignment. The cache is coherent under code
+    /// patching: entries revalidate against the current raw bytes on every
+    /// fetch. Lookups consult this CTA's overlay before the launch
+    /// snapshot, so hit/miss counts do not depend on how CTAs interleave
+    /// across worker threads. Errors carry the fault reason.
+    fn fetch(
+        &mut self,
+        mem: &SharedMem<'_>,
+        spec: &DeviceSpec,
+        pc: u64,
+        isize: usize,
+        stats: &mut ExecStats,
+    ) -> std::result::Result<&Instruction, String> {
+        let mut raw = [0u8; 16];
+        mem.read_into(pc, &mut raw[..isize])
+            .map_err(|_| "instruction fetch outside device memory".to_string())?;
+        let raw_word = u128::from_le_bytes(raw);
+        let decode = || {
+            sass::codec::codec_for(spec.arch)
+                .decode(&raw[..isize])
+                .map_err(|e| format!("undecodable instruction: {e}"))
+        };
+        if !self.enabled {
+            stats.decode_misses += 1;
+            return Ok(self.uncached.insert(decode()?));
+        }
+        // This CTA's own decodes shadow the snapshot.
+        match self.overlay.get(&pc) {
+            Some((cached_raw, _)) if *cached_raw == raw_word => {
+                stats.decode_hits += 1;
+                return Ok(&self.overlay[&pc].1);
+            }
+            Some(_) => {}
+            None => {
+                if let Some((cached_raw, decoded)) = self.snapshot.get(&pc) {
+                    if *cached_raw == raw_word {
+                        stats.decode_hits += 1;
+                        return Ok(decoded);
+                    }
+                }
+            }
+        }
+        stats.decode_misses += 1;
+        let entry = self.overlay.entry(pc).insert_entry((raw_word, Box::new(decode()?)));
+        Ok(&entry.into_mut().1)
+    }
+}
 
 /// One SIMT-stack entry.
 #[derive(Debug, Clone)]
@@ -121,21 +217,17 @@ pub(crate) struct CtaCtx {
     pub locals: Vec<Vec<u8>>,
 }
 
-/// Everything one CTA's execution needs. Shared state comes in behind
-/// `Sync` references; mutable state (statistics, the decode-cache overlay,
+/// Everything one CTA's execution needs besides its [`CodeView`]. Shared
+/// state comes in behind `Sync` references; mutable state (statistics,
 /// the step counter) is owned per CTA, which is what makes the environment
 /// `Send`-able into a worker thread and the collected results independent
 /// of the CTA schedule.
 pub(crate) struct ExecEnv<'d> {
     pub spec: &'d DeviceSpec,
-    pub mem: &'d SharedMem,
-    /// Immutable per-launch snapshot of the device decode cache.
-    pub snapshot: &'d DecodeCache,
-    /// Entries this CTA decoded; merged back in CTA-linear order after the
-    /// launch so cross-launch cache state is scheduler-independent.
-    pub overlay: DecodeCache,
-    pub decode_cache_enabled: bool,
+    pub mem: &'d SharedMem<'d>,
     pub stats: ExecStats,
+    /// Dense per-opcode counts, folded into `stats` when the CTA retires.
+    pub counts: OpCounts,
     pub grid: Dim3,
     pub block: Dim3,
     pub cbanks: &'d [Vec<u8>; 4],
@@ -162,46 +254,13 @@ impl<'d> ExecEnv<'d> {
         GpuError::Fault { pc, reason }
     }
 
-    /// Fetches and decodes the instruction at `pc`. The decode cache is
-    /// coherent under code patching: cached entries revalidate against the
-    /// current raw bytes on every fetch. Lookups consult this CTA's overlay
-    /// before the launch snapshot, so hit/miss counts do not depend on how
-    /// CTAs interleave across worker threads.
-    fn fetch(&mut self, pc: u64) -> Result<Arc<Instruction>> {
-        let isize = self.spec.arch.instruction_size() as u64;
-        if !pc.is_multiple_of(isize) {
-            return Err(self.fault(pc, "misaligned instruction fetch"));
-        }
-        let mut raw = [0u8; 16];
-        self.mem
-            .read_into(pc, &mut raw[..isize as usize])
-            .map_err(|_| self.fault(pc, "instruction fetch outside device memory"))?;
-        let raw_word = u128::from_le_bytes(raw);
-        if self.decode_cache_enabled {
-            if let Some((cached_raw, decoded)) =
-                self.overlay.get(&pc).or_else(|| self.snapshot.get(&pc))
-            {
-                if *cached_raw == raw_word {
-                    self.stats.decode_hits += 1;
-                    return Ok(Arc::clone(decoded));
-                }
-            }
-        }
-        self.stats.decode_misses += 1;
-        let codec = sass::codec::codec_for(self.spec.arch);
-        let instr = Arc::new(
-            codec
-                .decode(&raw[..isize as usize])
-                .map_err(|e| self.fault(pc, format!("undecodable instruction: {e}")))?,
-        );
-        if self.decode_cache_enabled {
-            self.overlay.insert(pc, (raw_word, Arc::clone(&instr)));
-        }
-        Ok(instr)
-    }
-
     /// Runs one warp until it exits, faults, or reaches a CTA barrier.
-    pub fn run_warp(&mut self, warp: &mut Warp, cta: &mut CtaCtx) -> Result<()> {
+    pub fn run_warp(
+        &mut self,
+        code: &mut CodeView<'_>,
+        warp: &mut Warp,
+        cta: &mut CtaCtx,
+    ) -> Result<()> {
         let isize = self.spec.arch.instruction_size() as u64;
         loop {
             // Drop empty entries.
@@ -220,20 +279,26 @@ impl<'d> ExecEnv<'d> {
                 return Err(self.fault(pc, "step limit exceeded (runaway kernel)"));
             }
 
-            let instr = self.fetch(pc)?;
-            let exec = self.guard_mask(warp, &instr, mask);
-            self.stats.record(instr.op, exec);
-            self.account_cost(warp, &instr, exec)?;
+            if !pc.is_multiple_of(isize) {
+                return Err(self.fault(pc, "misaligned instruction fetch"));
+            }
+            let instr = match code.fetch(self.mem, self.spec, pc, isize as usize, &mut self.stats) {
+                Ok(instr) => instr,
+                Err(reason) => return Err(self.fault(pc, reason)),
+            };
+            let exec = self.guard_mask(warp, instr, mask);
+            self.counts.record(instr.op, exec);
+            self.account_cost(warp, instr, exec)?;
 
             match instr.op.cf_class() {
                 sass::op::CfClass::None => {
                     if exec != 0 {
-                        self.execute(warp, cta, &instr, exec, pc)?;
+                        self.execute(warp, cta, instr, exec, pc)?;
                     }
                     warp.entries.last_mut().unwrap().pc = pc + isize;
                 }
                 _ => {
-                    let continue_warp = self.control_flow(warp, &instr, exec, pc, isize)?;
+                    let continue_warp = self.control_flow(warp, instr, exec, pc, isize)?;
                     if !continue_warp {
                         return Ok(()); // barrier or done
                     }
@@ -291,18 +356,20 @@ impl<'d> ExecEnv<'d> {
             return Ok(1);
         };
         let line = self.spec.cache_line as u64;
-        let mut lines: Vec<u64> = Vec::with_capacity(4);
+        let mut lines = [0u64; WARP];
+        let mut n = 0;
         for lane in 0..WARP {
             if exec & (1 << lane) == 0 {
                 continue;
             }
             let addr = warp.pair(lane, *base).wrapping_add(*offset as i64 as u64);
             let l = addr / line;
-            if !lines.contains(&l) {
-                lines.push(l);
+            if !lines[..n].contains(&l) {
+                lines[n] = l;
+                n += 1;
             }
         }
-        Ok(lines.len().max(1) as u64)
+        Ok(n.max(1) as u64)
     }
 
     /// Handles a control-flow instruction; returns `false` when the caller
@@ -549,7 +616,7 @@ impl<'d> ExecEnv<'d> {
                 let Operand::Reg(a) = ops[1] else {
                     return Err(self.fault(pc, "SHFL without source"));
                 };
-                let snapshot: Vec<u32> = (0..WARP).map(|l| warp.reg(l, a)).collect();
+                let snapshot: [u32; WARP] = std::array::from_fn(|l| warp.reg(l, a));
                 for lane in lanes {
                     let b = val32(warp, lane, &ops[2]) as usize;
                     let src_lane = match instr.mods.sub {

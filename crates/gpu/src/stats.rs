@@ -41,15 +41,58 @@ pub struct ExecStats {
     pub decode_misses: u64,
 }
 
-impl ExecStats {
-    /// Records one issued instruction.
+/// One past the largest opcode index: the length of a dense per-op table.
+const OP_SLOTS: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < Op::ALL.len() {
+        if Op::ALL[i] as usize > max {
+            max = Op::ALL[i] as usize;
+        }
+        i += 1;
+    }
+    max + 1
+};
+
+/// Per-CTA instruction counters in dense form: one slot per opcode,
+/// indexed by [`Op::index`]. The executor bumps them on every warp step,
+/// with no allocation and no map probe, and folds them into the keyed
+/// [`ExecStats`] maps once, when the CTA retires.
+pub(crate) struct OpCounts {
+    per_op: [u64; OP_SLOTS],
+    lanes: u64,
+}
+
+impl Default for OpCounts {
+    fn default() -> OpCounts {
+        OpCounts { per_op: [0; OP_SLOTS], lanes: 0 }
+    }
+}
+
+impl OpCounts {
+    /// Records one issued instruction with `active` executing lanes.
+    #[inline]
     pub fn record(&mut self, op: Op, active: u32) {
-        self.warp_instructions += 1;
-        self.thread_instructions += active.count_ones() as u64;
-        *self.per_op.entry(op.mnemonic().to_string()).or_insert(0) += 1;
-        *self.per_category.entry(op.category()).or_insert(0) += 1;
+        self.per_op[op.index() as usize] += 1;
+        self.lanes += u64::from(active.count_ones());
     }
 
+    /// Adds the counts to `stats`: instruction totals and the per-opcode
+    /// and per-category maps. Opcodes that never issued get no entry.
+    pub fn fold_into(&self, stats: &mut ExecStats) {
+        stats.thread_instructions += self.lanes;
+        for &op in Op::ALL {
+            let n = self.per_op[op.index() as usize];
+            if n > 0 {
+                stats.warp_instructions += n;
+                *stats.per_op.entry(op.mnemonic().to_string()).or_insert(0) += n;
+                *stats.per_category.entry(op.category()).or_insert(0) += n;
+            }
+        }
+    }
+}
+
+impl ExecStats {
     /// Merges another launch's statistics into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         self.warp_instructions += other.warp_instructions;
@@ -84,24 +127,39 @@ impl ExecStats {
 mod tests {
     use super::*;
 
+    fn stats_of(issued: &[(Op, u32)]) -> ExecStats {
+        let mut counts = OpCounts::default();
+        for &(op, active) in issued {
+            counts.record(op, active);
+        }
+        let mut s = ExecStats::default();
+        counts.fold_into(&mut s);
+        s
+    }
+
     #[test]
     fn record_counts_ops_and_lanes() {
-        let mut s = ExecStats::default();
-        s.record(Op::Iadd, 0xffff_ffff);
-        s.record(Op::Iadd, 0x1);
-        s.record(Op::Ldg, 0xf);
+        let s = stats_of(&[(Op::Iadd, 0xffff_ffff), (Op::Iadd, 0x1), (Op::Ldg, 0xf)]);
         assert_eq!(s.warp_instructions, 3);
         assert_eq!(s.thread_instructions, 37);
         assert_eq!(s.per_op["IADD"], 2);
         assert_eq!(s.per_category[&OpCategory::MemGlobal], 1);
+        assert_eq!(s.per_op.len(), 2, "opcodes that never issued get no entry");
+    }
+
+    #[test]
+    fn dense_table_covers_every_opcode() {
+        let issued: Vec<(Op, u32)> = Op::ALL.iter().map(|&op| (op, 1)).collect();
+        let s = stats_of(&issued);
+        assert_eq!(s.per_op.len(), Op::ALL.len());
+        assert_eq!(s.per_op.values().sum::<u64>(), s.warp_instructions);
+        assert_eq!(s.per_category.values().sum::<u64>(), s.warp_instructions);
     }
 
     #[test]
     fn merge_accumulates() {
-        let mut a = ExecStats::default();
-        a.record(Op::Fmul, u32::MAX);
-        let mut b = ExecStats::default();
-        b.record(Op::Fmul, u32::MAX);
+        let mut a = stats_of(&[(Op::Fmul, u32::MAX)]);
+        let mut b = stats_of(&[(Op::Fmul, u32::MAX)]);
         b.cycles = 10;
         a.merge(&b);
         assert_eq!(a.per_op["FMUL"], 2);
@@ -111,17 +169,10 @@ mod tests {
 
     #[test]
     fn top_ops_sorts_descending_with_stable_ties() {
-        let mut s = ExecStats::default();
-        for _ in 0..5 {
-            s.record(Op::Ffma, 1);
-        }
-        for _ in 0..3 {
-            s.record(Op::Ldg, 1);
-        }
-        for _ in 0..3 {
-            s.record(Op::Iadd, 1);
-        }
-        let top = s.top_ops(2);
+        let mut issued = vec![(Op::Ffma, 1); 5];
+        issued.extend([(Op::Ldg, 1); 3]);
+        issued.extend([(Op::Iadd, 1); 3]);
+        let top = stats_of(&issued).top_ops(2);
         assert_eq!(top[0].0, "FFMA");
         assert_eq!(top[1], ("IADD".to_string(), 3)); // tie broken alphabetically
     }

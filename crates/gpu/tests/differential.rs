@@ -1,10 +1,11 @@
 //! Differential testing: for every kernel in a suite, compiled SASS executed
 //! by the simulator must produce byte-identical global memory to the PTX
 //! reference interpreter — across architectures, launch geometries and
-//! randomized inputs.
+//! randomized inputs. Every case also runs under both CTA schedulers, which
+//! must agree on global memory and on the full execution statistics.
 
 use common::prop::{run_cases, vec_of};
-use gpu::{Device, DeviceSpec, Dim3, LaunchConfig};
+use gpu::{Device, DeviceSpec, Dim3, ExecStats, LaunchConfig, Scheduler};
 use ptx::interp::{interpret_entry, LaunchGrid, ParamValue};
 use sass::codec::codec_for;
 use sass::{Arch, Operand};
@@ -58,7 +59,13 @@ fn load_module(dev: &mut Device, module: &ptx::CompiledModule, kernel: &str) -> 
     (addrs[kernel], shared, local)
 }
 
-/// Runs `kernel` both ways and asserts the arenas match.
+/// The schedulers every case runs under: the serial reference and a worker
+/// pool larger than any case's grid needs.
+const SCHEDULERS: [Scheduler; 2] = [Scheduler::Serial, Scheduler::Parallel { threads: 4 }];
+
+/// Runs `kernel` in the interpreter and on the simulator under every
+/// scheduler, and asserts the arenas (and the simulator's statistics)
+/// match.
 fn check(src: &str, kernel: &str, grid: u32, block: u32, params: &[Param], arena_init: &[u8]) {
     let m = ptx::parse_module(src).unwrap();
 
@@ -78,36 +85,71 @@ fn check(src: &str, kernel: &str, grid: u32, block: u32, params: &[Param], arena
     for arch in Arch::ALL {
         let module =
             ptx::compile_ast(&m, arch).unwrap_or_else(|e| panic!("compile failed for {arch}: {e}"));
-        let mut dev = Device::new(DeviceSpec::test(arch));
-        let (entry, shared, local) = load_module(&mut dev, &module, kernel);
-        let arena = dev.alloc(ARENA as u64).unwrap();
-        let mut init = vec![0u8; ARENA];
-        init[..arena_init.len()].copy_from_slice(arena_init);
-        dev.write(arena, &init).unwrap();
-
-        let mut cfg = LaunchConfig::new(entry, Dim3::linear(grid), Dim3::linear(block));
-        cfg.shared_size = shared;
-        cfg.local_size = local.max(4096);
-        for p in params {
-            match p {
-                Param::Ptr(off) => {
-                    cfg.push_param_u64(arena + off);
-                }
-                Param::U32(v) => {
-                    cfg.push_param_u32(*v);
-                }
-            }
-        }
-        dev.launch(&cfg).unwrap_or_else(|e| panic!("simulator failed for {kernel} on {arch}: {e}"));
-
-        let mut smem = vec![0u8; ARENA];
-        dev.read(arena, &mut smem).unwrap();
+        let runs: Vec<(Vec<u8>, ExecStats)> = SCHEDULERS
+            .iter()
+            .map(|&scheduler| run_sim(&module, kernel, scheduler, grid, block, params, arena_init))
+            .collect();
+        let (smem, serial_stats) = &runs[0];
         assert_eq!(
-            imem, smem,
+            imem, *smem,
             "interpreter and simulator disagree for `{kernel}` on {arch} \
              (grid {grid}, block {block})"
         );
+        for ((mem, stats), scheduler) in runs.iter().zip(SCHEDULERS).skip(1) {
+            assert_eq!(
+                mem, smem,
+                "{scheduler:?} and Serial memory disagree for `{kernel}` on {arch} \
+                 (grid {grid}, block {block})"
+            );
+            assert_eq!(
+                stats, serial_stats,
+                "{scheduler:?} and Serial statistics disagree for `{kernel}` on {arch} \
+                 (grid {grid}, block {block})"
+            );
+        }
     }
+}
+
+/// Runs one compiled kernel on a fresh device under `scheduler`, returning
+/// the final arena and the launch statistics.
+fn run_sim(
+    module: &ptx::CompiledModule,
+    kernel: &str,
+    scheduler: Scheduler,
+    grid: u32,
+    block: u32,
+    params: &[Param],
+    arena_init: &[u8],
+) -> (Vec<u8>, ExecStats) {
+    let arch = module.arch;
+    let mut dev = Device::new(DeviceSpec::test(arch));
+    dev.scheduler = scheduler;
+    let (entry, shared, local) = load_module(&mut dev, module, kernel);
+    let arena = dev.alloc(ARENA as u64).unwrap();
+    let mut init = vec![0u8; ARENA];
+    init[..arena_init.len()].copy_from_slice(arena_init);
+    dev.write(arena, &init).unwrap();
+
+    let mut cfg = LaunchConfig::new(entry, Dim3::linear(grid), Dim3::linear(block));
+    cfg.shared_size = shared;
+    cfg.local_size = local.max(4096);
+    for p in params {
+        match p {
+            Param::Ptr(off) => {
+                cfg.push_param_u64(arena + off);
+            }
+            Param::U32(v) => {
+                cfg.push_param_u32(*v);
+            }
+        }
+    }
+    let stats = dev.launch(&cfg).unwrap_or_else(|e| {
+        panic!("simulator failed for {kernel} on {arch} under {scheduler:?}: {e}")
+    });
+
+    let mut smem = vec![0u8; ARENA];
+    dev.read(arena, &mut smem).unwrap();
+    (smem, stats)
 }
 
 fn f32_bytes(vals: &[f32]) -> Vec<u8> {
