@@ -44,6 +44,12 @@ echo "== gpu: executor unit tests + interpreter/scheduler differential suite =="
 # Scheduler::Parallel; memory and ExecStats must match across both.
 cargo test --release -q -p nvbit-gpu
 
+echo "== channel: push/push_warp ordering, flips, DropCount accounting =="
+cargo test --release -q -p nvbit-common --lib channel::
+
+echo "== tools: unit tests (mem_trace canonical order and cap, cache_sim) =="
+cargo test --release -q -p nvbit-tools --lib
+
 echo "== verify_all: every tool x every workload, zero diagnostics =="
 # Lifts and instruments every bundled tool against every workload kernel
 # (fft pipeline, SPECAccel suite, ML models) and requires the pre-swap
@@ -80,7 +86,7 @@ cargo test --release -q -p nvbit-tools --test channel_determinism
 echo "== per-launch occupancy: sentinel matches explicit shape, shape change replans =="
 cargo test --release -q -p nvbit-tools --test per_launch_occupancy
 
-echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription and >=2x record throughput vs bounded at 4Ki =="
+echo "== channel_bw: zero drops under Block at every size, >=16x oversubscription and >=2x record throughput vs capped at 4Ki =="
 cargo run --release -q -p nvbit-bench --bin channel_bw
 
 echo "CI OK"

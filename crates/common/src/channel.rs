@@ -20,15 +20,17 @@
 //! buffer's `seq` equals the epoch it loaded, and the claim is a CAS on
 //! the packed word, so a claim can never land on a buffer that was
 //! re-sequenced (handed back by the host and flipped forward) in between —
-//! the classic lost-record race of refill-in-place rings. Slot writes are
-//! Relaxed; the following `committed` increment (AcqRel) publishes them,
-//! and the producer whose commit fills the buffer marks it `FULL`
-//! (Release) and rings the host doorbell. The host drains strictly in
-//! epoch order, marks the buffer `DRAINED` *before* invoking the consumer
-//! callback (so the device refills one buffer while the host is still
-//! processing the other), and a producer that overflows the active buffer
-//! races a CAS on `active` to flip; the winner re-sequences the drained
-//! buffer.
+//! the classic lost-record race of refill-in-place rings. One CAS claims
+//! as many slots as a batch needs and the buffer has left
+//! ([`ChannelDev::push_warp`]); a remainder claims again after the flip.
+//! Slot writes are Relaxed; the following `committed` add (AcqRel)
+//! publishes them, and the producer whose commit fills the buffer marks
+//! it `FULL` (Release) and rings the host doorbell. The host drains
+//! strictly in epoch order, marks the buffer `DRAINED` *before* invoking
+//! the consumer callback (so the device refills one buffer while the host
+//! is still processing the other), and a producer that overflows the
+//! active buffer races a CAS on `active` to flip; the winner re-sequences
+//! the drained buffer.
 //!
 //! ## Backpressure
 //!
@@ -183,8 +185,33 @@ impl ChannelDev {
     /// Pushes one record. Blocks or drops on overflow per the channel's
     /// [`Backpressure`] policy.
     pub fn push(&self, tag: u64, payload: u64) -> PushOutcome {
+        if self.push_warp(tag, &[payload]) == 1 {
+            PushOutcome::Delivered
+        } else {
+            PushOutcome::Dropped
+        }
+    }
+
+    /// Pushes a batch of records under one tag (the executor passes one
+    /// warp instruction's active lanes, in lane order) and returns how
+    /// many were delivered.
+    ///
+    /// The batch costs one `demanded` add, one claim CAS for as many
+    /// slots as the active buffer has left and one `committed` add per
+    /// claim. A remainder goes through the same claim, flip and
+    /// backpressure loop, so a batch may straddle a flip; per-tag push
+    /// order is kept because buffers drain in epoch order. Under
+    /// [`Backpressure::DropCount`] exactly the records that found both
+    /// buffers busy are dropped and counted: a delivered prefix, then a
+    /// dropped suffix.
+    pub fn push_warp(&self, tag: u64, payloads: &[u64]) -> usize {
         let x = &*self.inner;
-        x.demanded.fetch_add(1, Relaxed);
+        let n = payloads.len();
+        if n == 0 {
+            return 0;
+        }
+        x.demanded.fetch_add(n as u64, Relaxed);
+        let mut rest = payloads;
         loop {
             let epoch = x.active.load(Acquire);
             let buf = &x.bufs[(epoch & 1) as usize];
@@ -197,18 +224,26 @@ impl ChannelDev {
             }
             let claimed = packed & CLAIM_MASK;
             if claimed < x.cap {
-                if buf.packed.compare_exchange_weak(packed, packed + 1, AcqRel, Relaxed).is_err() {
+                let k = (rest.len() as u64).min(x.cap - claimed);
+                if buf.packed.compare_exchange_weak(packed, packed + k, AcqRel, Relaxed).is_err() {
                     continue;
                 }
-                let s = claimed as usize * 2;
-                buf.slots[s].store(tag, Relaxed);
-                buf.slots[s + 1].store(payload, Relaxed);
-                if buf.committed.fetch_add(1, AcqRel) + 1 == x.cap {
+                let (now, later) = rest.split_at(k as usize);
+                for (i, &payload) in now.iter().enumerate() {
+                    let s = (claimed as usize + i) * 2;
+                    buf.slots[s].store(tag, Relaxed);
+                    buf.slots[s + 1].store(payload, Relaxed);
+                }
+                if buf.committed.fetch_add(k, AcqRel) + k == x.cap {
                     buf.state.store(FULL, Release);
                     drop(x.door.lock().unwrap());
                     x.host_cv.notify_all();
                 }
-                return PushOutcome::Delivered;
+                rest = later;
+                if rest.is_empty() {
+                    return n;
+                }
+                continue;
             }
             // Overflow: every slot of the active buffer is claimed.
             let other = &x.bufs[(epoch.wrapping_add(1) & 1) as usize];
@@ -221,28 +256,23 @@ impl ChannelDev {
                 }
                 continue;
             }
-            match x.policy {
-                Backpressure::DropCount => {
-                    x.dropped.fetch_add(1, Relaxed);
-                    obs::counter("chan.drop", 1);
-                    return PushOutcome::Dropped;
+            if x.policy == Backpressure::Block {
+                obs::counter("chan.doorbell_stall", 1);
+                let mut door = x.door.lock().unwrap();
+                while other.state.load(Acquire) != DRAINED
+                    && x.active.load(Acquire) == epoch
+                    && !door.shutdown
+                {
+                    door = x.prod_cv.wait(door).unwrap();
                 }
-                Backpressure::Block => {
-                    obs::counter("chan.doorbell_stall", 1);
-                    let mut door = x.door.lock().unwrap();
-                    while other.state.load(Acquire) != DRAINED
-                        && x.active.load(Acquire) == epoch
-                        && !door.shutdown
-                    {
-                        door = x.prod_cv.wait(door).unwrap();
-                    }
-                    if door.shutdown {
-                        x.dropped.fetch_add(1, Relaxed);
-                        obs::counter("chan.drop", 1);
-                        return PushOutcome::Dropped;
-                    }
+                if !door.shutdown {
+                    continue;
                 }
             }
+            let lost = rest.len() as u64;
+            x.dropped.fetch_add(lost, Relaxed);
+            obs::counter("chan.drop", lost);
+            return n - rest.len();
         }
     }
 
@@ -626,6 +656,120 @@ mod tests {
             assert_eq!(stream, (0..per).collect::<Vec<_>>(), "stream {t} out of order");
         }
         assert_eq!(host.delivered(), threads * per);
+        host.shutdown();
+    }
+
+    /// Batch sizes 1..=32 cycling, so batches straddle flips at every
+    /// offset of a 1-, 7- or 32-record buffer.
+    fn batch_len(i: u64) -> u64 {
+        i % 32 + 1
+    }
+
+    #[test]
+    fn warp_batches_straddling_flips_keep_per_tag_order() {
+        for cap in [1usize, 7, 32] {
+            let (host, dev, store) = collecting(cap, Backpressure::Block);
+            let mut next = [0u64; 3];
+            let mut pushed = Vec::new();
+            for i in 0..60u64 {
+                let tag = i % 3;
+                let start = next[tag as usize];
+                let batch: Vec<u64> = (start..start + batch_len(i)).collect();
+                next[tag as usize] += batch.len() as u64;
+                assert_eq!(dev.push_warp(tag, &batch), batch.len());
+                pushed.extend(batch.iter().map(|&payload| Record { tag, payload }));
+            }
+            dev.flush();
+            // One producer: the delivered stream is the push order itself.
+            assert_eq!(*store.lock().unwrap(), pushed, "buffer of {cap}");
+            assert_eq!(host.demanded(), pushed.len() as u64);
+            assert_eq!(host.delivered(), pushed.len() as u64);
+            host.shutdown();
+        }
+    }
+
+    /// The stuck-consumer set-up of the test above, fed in batches of 5
+    /// through a 4-record buffer: batches straddle every flip, exactly
+    /// three buffers' worth is delivered, and each dropped record is
+    /// counted once.
+    #[test]
+    fn dropcount_batches_account_exactly_with_both_buffers_full() {
+        let cap = 4u64;
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = Mutex::new(gate_rx);
+        let store = Arc::new(Mutex::new(Vec::new()));
+        let sink = store.clone();
+        let mut first = true;
+        let (host, dev) = ChannelHost::spawn(
+            cap as usize,
+            Backpressure::DropCount,
+            Box::new(move |batch| {
+                if first {
+                    first = false;
+                    gate_rx.lock().unwrap().recv().unwrap();
+                }
+                sink.lock().unwrap().extend_from_slice(batch);
+            }),
+        );
+        assert_eq!(dev.push_warp(1, &[0, 1, 2, 3]), 4);
+        while dev.delivered() < cap {
+            std::thread::yield_now();
+        }
+        let mut delivered = cap;
+        for i in 0..20u64 {
+            let batch: Vec<u64> = (4 + 5 * i..9 + 5 * i).collect();
+            delivered += dev.push_warp(1, &batch) as u64;
+        }
+        assert_eq!(delivered, 3 * cap, "exactly three buffers' worth fit");
+        assert_eq!(dev.demanded(), 104);
+        assert_eq!(dev.dropped(), 104 - delivered);
+        gate_tx.send(()).unwrap();
+        dev.flush();
+        assert_eq!(dev.delivered() + dev.dropped(), dev.demanded());
+        // Drops are a suffix: the delivered records are the first pushed.
+        let got: Vec<u64> = store.lock().unwrap().iter().map(|r| r.payload).collect();
+        assert_eq!(got, (0..delivered).collect::<Vec<_>>());
+        host.shutdown();
+    }
+
+    #[test]
+    fn concurrent_warp_batches_each_keep_push_order() {
+        let (host, dev, store) = collecting(7, Backpressure::Block);
+        let threads = 4u64;
+        let batches = 200u64;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let dev = dev.clone();
+                s.spawn(move || {
+                    let mut next = 0u64;
+                    for i in 0..batches {
+                        let batch: Vec<u64> = (next..next + batch_len(i + t)).collect();
+                        next += batch.len() as u64;
+                        assert_eq!(dev.push_warp(t, &batch), batch.len());
+                    }
+                });
+            }
+        });
+        dev.flush();
+        let got = store.lock().unwrap().clone();
+        let mut total = 0;
+        for t in 0..threads {
+            let stream: Vec<u64> = got.iter().filter(|r| r.tag == t).map(|r| r.payload).collect();
+            let want: u64 = (0..batches).map(|i| batch_len(i + t)).sum();
+            assert_eq!(stream, (0..want).collect::<Vec<_>>(), "stream {t} out of order");
+            total += want;
+        }
+        assert_eq!(got.len() as u64, total);
+        assert_eq!(host.demanded(), total);
+        assert_eq!(host.delivered(), total);
+        host.shutdown();
+    }
+
+    #[test]
+    fn empty_warp_batch_is_a_no_op() {
+        let (host, dev, _store) = collecting(4, Backpressure::Block);
+        assert_eq!(dev.push_warp(0, &[]), 0);
+        assert_eq!(host.demanded(), 0);
         host.shutdown();
     }
 

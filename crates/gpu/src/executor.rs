@@ -1019,13 +1019,17 @@ impl<'d> ExecEnv<'d> {
                 let Operand::Reg(a) = ops[0] else {
                     return Err(self.fault(pc, "CHAN without register source"));
                 };
-                // One record per executing lane, in lane order, tagged with
-                // the CTA-linear index: per-CTA streams are push-ordered, so
-                // the drained trace is scheduler-independent after per-tag
-                // reassembly.
+                // One record per executing lane, in lane order, pushed as
+                // one warp batch tagged with the CTA-linear index: per-CTA
+                // streams are push-ordered, so the drained trace is
+                // scheduler-independent after per-tag reassembly.
+                let mut payloads = [0u64; WARP];
+                let mut n = 0;
                 for lane in lanes {
-                    chan.push(cta.cta_linear, warp.pair(lane, a));
+                    payloads[n] = warp.pair(lane, a);
+                    n += 1;
                 }
+                chan.push_warp(cta.cta_linear, &payloads[..n]);
             }
             _ => {
                 return Err(self.fault(pc, format!("unimplemented opcode {}", instr.op.mnemonic())))

@@ -10,7 +10,7 @@
 
 use common::channel::{Backpressure, ChannelHost};
 use cuda::{CbId, CbParams};
-use nvbit::{IPoint, NvbitApi, NvbitTool};
+use nvbit::{NvbitApi, NvbitTool};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -179,22 +179,10 @@ impl NvbitTool for ChannelCacheSim {
         if cbid != CbId::LaunchKernel || is_exit {
             return;
         }
-        if !self.seen.insert(func.raw()) {
-            return;
+        if self.seen.insert(func.raw()) {
+            let sites = crate::mem_trace::insert_trace_calls(api, *func);
+            common::obs::counter("tool.cache_sim.sites", sites);
         }
-        let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection") {
-            if instr.mem_space() != Some(sass::MemSpace::Global) {
-                continue;
-            }
-            let Some((base, offset)) = instr.mref() else { continue };
-            api.insert_call(*func, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
-            api.add_call_arg_reg_val64(*func, instr.idx, base.0).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, offset).unwrap();
-            sites += 1;
-        }
-        common::obs::counter("tool.cache_sim.sites", sites);
     }
 }
 

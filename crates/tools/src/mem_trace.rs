@@ -1,60 +1,40 @@
 //! Global-memory address tracing (the substrate for trace-driven cache
 //! simulation, paper §6.1).
 //!
-//! Two capture modes share the results contract:
+//! Every executing lane of a traced global access pushes its effective
+//! address through the streaming [`common::channel`]; the executor sends
+//! one warp batch per warp instruction, tagged with the CTA-linear index.
+//! The host drain thread appends each record to a per-CTA bucket while
+//! the kernel runs. At launch exit the channel has been flushed, and the
+//! buckets are appended to the result in CTA order and cleared, which
+//! costs O(records of the launch).
 //!
-//! * **Bounded** ([`MemTrace::new`]) — the original design: every lane
-//!   appends to a fixed device buffer via an atomic slot claim; records
-//!   past capacity are dropped (demand is still counted). Simple, but
-//!   the trace size is capped up front and the readback happens only at
-//!   launch exit.
-//! * **Channel** ([`MemTrace::channel`]) — lanes push through the
-//!   streaming [`common::channel`] to a host drain thread, so the trace
-//!   size is unbounded under [`Backpressure::Block`] (lossless) and the
-//!   host consumes records *while the kernel runs*. Under
-//!   [`Backpressure::DropCount`] the bounded-buffer truncation contract
-//!   is preserved with exact drop accounting.
+//! The canonical stream is therefore launch-major, then CTA-linear, then
+//! per-CTA push order. It is identical across scheduler configurations
+//! and append-only as launches are added.
+//!
+//! Both constructors consume that one stream:
+//!
+//! * [`MemTrace::channel`] keeps all of it. Under [`Backpressure::Block`]
+//!   the trace is lossless whatever its size relative to the flush
+//!   buffer; under [`Backpressure::DropCount`] kernel-side stalls are
+//!   bounded and every drop is counted.
+//! * [`MemTrace::new`] is a capped consumer under `Block`: it keeps the
+//!   first `capacity` records of the stream and discards the rest, while
+//!   still counting the whole demand.
 
-use crate::read_u64;
-use common::channel::{Backpressure, ChannelHost, Record};
-use cuda::{CbId, CbParams, Driver};
+use common::channel::{Backpressure, ChannelHost};
+use cuda::{CbId, CbParams, CuFunction};
 use nvbit::{IPoint, NvbitApi, NvbitTool};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-/// The bounded trace-append device function: every executing lane
-/// appends its effective address to a bounded device buffer
-/// (`u64 count` at +0, records at +8).
-const TRACE_FN: &str = r#"
-.func nvbit_trace(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off, .reg .u64 %buf,
-                  .reg .u32 %cap)
-{
-    .reg .u32 %r<6>;
-    .reg .u64 %rd<10>;
-    .reg .pred %p<3>;
-    setp.eq.u32 %p1, %pred, 0;
-    @%p1 ret;
-    cvt.s64.s32 %rd1, %off;
-    add.u64 %rd2, %base, %rd1;
-    mov.u64 %rd3, 1;
-    atom.global.add.u64 %rd4, [%buf], %rd3;
-    // slot >= cap => drop (the count still records demand).
-    cvt.u32.u64 %r2, %rd4;
-    setp.ge.u32 %p2, %r2, %cap;
-    @%p2 ret;
-    shl.b64 %rd6, %rd4, 3;
-    add.u64 %rd7, %buf, %rd6;
-    st.global.u64 [%rd7+8], %rd2;
-    ret;
-}
-"#;
-
-/// The streaming trace-append device function: every executing lane
-/// pushes its effective address into the launch's host-side record
-/// channel. No buffer pointer or capacity — backpressure lives in the
-/// channel, and the host drains concurrently.
+/// The trace-append device function: every executing lane pushes its
+/// effective address into the launch's host-side record channel. No
+/// buffer pointer or capacity — backpressure lives in the channel, and
+/// the host drains concurrently.
 pub(crate) const TRACE_CHAN_FN: &str = r#"
 .func nvbit_trace_chan(.reg .u32 %pred, .reg .u64 %base, .reg .u32 %off)
 {
@@ -68,6 +48,9 @@ pub(crate) const TRACE_CHAN_FN: &str = r#"
     ret;
 }
 "#;
+
+/// Largest flush buffer a capped trace sizes from its capacity.
+const MAX_CAPPED_BUF_RECORDS: usize = 1 << 16;
 
 /// Results handle of [`MemTrace`].
 #[derive(Debug, Default)]
@@ -84,9 +67,9 @@ impl MemTraceResults {
     /// (`demanded == capacity`) is complete — truncation begins at the
     /// first record past capacity.
     ///
-    /// Both capture modes and [`truncated`](Self::truncated) derive
-    /// from this predicate; it is deliberately not hand-rolled at the
-    /// call sites.
+    /// The publish step and [`truncated`](Self::truncated) derive from
+    /// this predicate; it is deliberately not hand-rolled at the call
+    /// sites.
     pub fn captured(demanded: u64, capacity: u64) -> u64 {
         demanded.min(capacity)
     }
@@ -96,10 +79,9 @@ impl MemTraceResults {
         Self::captured(demanded, capacity) == demanded
     }
 
-    /// The captured addresses. Bounded mode reports them in device
-    /// append order; channel mode reassembles the canonical stream
-    /// (CTA-linear major, per-CTA push order), which is identical
-    /// across scheduler configurations.
+    /// The captured addresses in canonical order: launch-major, then
+    /// CTA-linear, then per-CTA push order. Identical across scheduler
+    /// configurations.
     pub fn addresses(&self) -> Vec<u64> {
         self.addresses.borrow().clone()
     }
@@ -112,10 +94,10 @@ impl MemTraceResults {
         *self.demanded.borrow()
     }
 
-    /// Records dropped by the capture path. Always
-    /// `demanded() - addresses().len()`: bounded mode drops past
-    /// capacity, channel mode drops only under
-    /// [`Backpressure::DropCount`] with both flush buffers full.
+    /// Records not captured: always `demanded() - addresses().len()`.
+    /// A capped trace drops past its capacity; an uncapped one drops
+    /// only under [`Backpressure::DropCount`] with both flush buffers
+    /// full.
     pub fn dropped(&self) -> u64 {
         *self.dropped.borrow()
     }
@@ -130,128 +112,102 @@ impl MemTraceResults {
     }
 }
 
-/// Capture backend of [`MemTrace`].
-enum Mode {
-    /// Fixed device buffer, readback at launch exit.
-    Bounded { capacity: u32, buf: u64 },
-    /// Streaming channel with a host drain thread.
-    Channel {
-        policy: Backpressure,
-        buf_records: usize,
-        host: Option<ChannelHost>,
-        store: Arc<Mutex<Vec<Record>>>,
-    },
-}
-
 /// The tracing tool.
 pub struct MemTrace {
-    mode: Mode,
+    policy: Backpressure,
+    buf_records: usize,
+    /// Records of the canonical stream to keep; `u64::MAX` keeps all.
+    capacity: u64,
+    host: Option<ChannelHost>,
+    /// The current launch's payloads, indexed by CTA-linear tag; filled
+    /// by the drain thread, emptied by [`MemTrace::publish`].
+    buckets: Arc<Mutex<Vec<Vec<u64>>>>,
     results: Rc<MemTraceResults>,
     seen: HashSet<u32>,
 }
 
 impl MemTrace {
-    /// Creates the tool with a bounded record capacity.
+    /// Creates the tool as a capped consumer: the trace keeps the first
+    /// `capacity` records of the canonical stream, and records past it
+    /// count as dropped. The flush buffer matches the capacity, up to
+    /// 64Ki records.
     pub fn new(capacity: u32) -> (MemTrace, Rc<MemTraceResults>) {
-        let results = Rc::new(MemTraceResults::default());
-        (
-            MemTrace {
-                mode: Mode::Bounded { capacity, buf: 0 },
-                results: results.clone(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
+        let buf_records = (capacity as usize).clamp(1, MAX_CAPPED_BUF_RECORDS);
+        Self::build(Backpressure::Block, buf_records, capacity as u64)
     }
 
     /// Creates the tool in streaming-channel mode with a flush-buffer
-    /// capacity of `buf_records` records. `Backpressure::Block` makes
-    /// the trace lossless regardless of its size relative to the
-    /// buffer; `Backpressure::DropCount` bounds kernel-side stalls and
-    /// accounts every drop exactly.
+    /// capacity of `buf_records` records and no cap on the trace.
+    /// `Backpressure::Block` makes the trace lossless regardless of its
+    /// size relative to the buffer; `Backpressure::DropCount` bounds
+    /// kernel-side stalls and accounts every drop exactly.
     pub fn channel(policy: Backpressure, buf_records: usize) -> (MemTrace, Rc<MemTraceResults>) {
-        let results = Rc::new(MemTraceResults::default());
-        (
-            MemTrace {
-                mode: Mode::Channel {
-                    policy,
-                    buf_records,
-                    host: None,
-                    store: Arc::new(Mutex::new(Vec::new())),
-                },
-                results: results.clone(),
-                seen: HashSet::new(),
-            },
-            results,
-        )
+        Self::build(policy, buf_records, u64::MAX)
     }
 
-    fn publish(&self, drv: &Driver) {
-        match &self.mode {
-            Mode::Bounded { capacity, buf } => {
-                if *buf == 0 {
-                    return;
-                }
-                let demanded = read_u64(drv, *buf);
-                let n = MemTraceResults::captured(demanded, *capacity as u64) as usize;
-                let mut bytes = vec![0u8; n * 8];
-                if n > 0 {
-                    drv.memcpy_dtoh(&mut bytes, *buf + 8).expect("trace readback");
-                }
-                *self.results.addresses.borrow_mut() =
-                    bytes.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-                *self.results.demanded.borrow_mut() = demanded;
-                *self.results.dropped.borrow_mut() = demanded - n as u64;
-            }
-            Mode::Channel { host, store, .. } => {
-                let Some(host) = host else { return };
-                // The kernel-completion flush inside `Device::launch`
-                // already pushed every record through the consumer, so
-                // the store is complete here. Reassemble the canonical
-                // stream: stable sort by CTA tag keeps each CTA's
-                // push-ordered subsequence intact, making the result
-                // independent of worker interleaving.
-                let mut records = store.lock().unwrap().clone();
-                records.sort_by_key(|r| r.tag);
-                *self.results.addresses.borrow_mut() = records.iter().map(|r| r.payload).collect();
-                *self.results.demanded.borrow_mut() = host.demanded();
-                *self.results.dropped.borrow_mut() = host.dropped();
-            }
+    fn build(
+        policy: Backpressure,
+        buf_records: usize,
+        capacity: u64,
+    ) -> (MemTrace, Rc<MemTraceResults>) {
+        let results = Rc::new(MemTraceResults::default());
+        let tool = MemTrace {
+            policy,
+            buf_records,
+            capacity,
+            host: None,
+            buckets: Arc::default(),
+            results: results.clone(),
+            seen: HashSet::new(),
+        };
+        (tool, results)
+    }
+
+    /// Appends the flushed launch's buckets to the result in CTA order,
+    /// up to the capacity, and clears them.
+    fn publish(&self) {
+        let Some(host) = &self.host else { return };
+        // The kernel-completion flush inside `Device::launch` already
+        // pushed every record through the consumer, so the buckets hold
+        // the whole launch. Earlier launches are already in `addresses`.
+        let keep = MemTraceResults::captured(host.delivered(), self.capacity);
+        let mut addresses = self.results.addresses.borrow_mut();
+        for bucket in self.buckets.lock().unwrap().iter_mut() {
+            let room = keep as usize - addresses.len();
+            addresses.extend(bucket.drain(..).take(room));
         }
+        *self.results.demanded.borrow_mut() = host.demanded();
+        *self.results.dropped.borrow_mut() = host.demanded() - keep;
     }
 }
 
 impl NvbitTool for MemTrace {
     fn at_init(&mut self, api: &NvbitApi<'_>) {
-        match &mut self.mode {
-            Mode::Bounded { capacity, buf } => {
-                api.load_tool_functions(TRACE_FN).expect("tool functions compile");
-                *buf = api
-                    .driver()
-                    .with_device(|d| d.alloc(8 + *capacity as u64 * 8))
-                    .expect("trace buffer alloc");
-            }
-            Mode::Channel { policy, buf_records, host, store } => {
-                api.load_tool_functions(TRACE_CHAN_FN).expect("tool functions compile");
-                let sink = store.clone();
-                let (h, dev) = ChannelHost::spawn(
-                    *buf_records,
-                    *policy,
-                    Box::new(move |batch| sink.lock().unwrap().extend_from_slice(batch)),
-                );
-                api.driver().with_device(|d| d.attach_channel(dev));
-                *host = Some(h);
-            }
-        }
+        api.load_tool_functions(TRACE_CHAN_FN).expect("tool functions compile");
+        let sink = self.buckets.clone();
+        let (host, dev) = ChannelHost::spawn(
+            self.buf_records,
+            self.policy,
+            Box::new(move |batch| {
+                let mut buckets = sink.lock().unwrap();
+                for r in batch {
+                    let cta = r.tag as usize;
+                    if cta >= buckets.len() {
+                        buckets.resize_with(cta + 1, Vec::new);
+                    }
+                    buckets[cta].push(r.payload);
+                }
+            }),
+        );
+        api.driver().with_device(|d| d.attach_channel(dev));
+        self.host = Some(host);
     }
 
     fn at_term(&mut self, api: &NvbitApi<'_>) {
-        self.publish(api.driver());
-        if let Mode::Channel { host, .. } = &mut self.mode {
-            api.driver().with_device(|d| d.detach_channel());
-            if let Some(host) = host.take() {
-                host.shutdown();
-            }
+        self.publish();
+        api.driver().with_device(|d| d.detach_channel());
+        if let Some(host) = self.host.take() {
+            host.shutdown();
         }
     }
 
@@ -266,42 +222,37 @@ impl NvbitTool for MemTrace {
         if cbid != CbId::LaunchKernel {
             return;
         }
-        if is_exit {
-            self.publish(api.driver());
-            return;
+        // Publishing at entry too keeps the stream launch-major after a
+        // failed launch, whose exit event never fires.
+        self.publish();
+        if !is_exit && self.seen.insert(func.raw()) {
+            common::obs::counter("tool.mem_trace.sites", insert_trace_calls(api, *func));
         }
-        if !self.seen.insert(func.raw()) {
-            return;
-        }
-        let (fn_name, bounded) = match &self.mode {
-            Mode::Bounded { .. } => ("nvbit_trace", true),
-            Mode::Channel { .. } => ("nvbit_trace_chan", false),
-        };
-        let mut sites = 0u64;
-        for instr in api.get_instrs(*func).expect("inspection") {
-            if instr.mem_space() != Some(sass::MemSpace::Global) {
-                continue;
-            }
-            let Some((base, offset)) = instr.mref() else { continue };
-            api.insert_call(*func, instr.idx, fn_name, IPoint::Before).unwrap();
-            api.add_call_arg_guard_pred(*func, instr.idx).unwrap();
-            api.add_call_arg_reg_val64(*func, instr.idx, base.0).unwrap();
-            api.add_call_arg_imm32(*func, instr.idx, offset).unwrap();
-            if bounded {
-                let Mode::Bounded { capacity, buf } = &self.mode else { unreachable!() };
-                api.add_call_arg_imm64(*func, instr.idx, *buf).unwrap();
-                api.add_call_arg_imm32(*func, instr.idx, *capacity as i32).unwrap();
-            }
-            sites += 1;
-        }
-        common::obs::counter("tool.mem_trace.sites", sites);
     }
+}
+
+/// Injects a [`TRACE_CHAN_FN`] call before every global access of `func`
+/// and returns the number of sites.
+pub(crate) fn insert_trace_calls(api: &NvbitApi<'_>, func: CuFunction) -> u64 {
+    let mut sites = 0u64;
+    for instr in api.get_instrs(func).expect("inspection") {
+        if instr.mem_space() != Some(sass::MemSpace::Global) {
+            continue;
+        }
+        let Some((base, offset)) = instr.mref() else { continue };
+        api.insert_call(func, instr.idx, "nvbit_trace_chan", IPoint::Before).unwrap();
+        api.add_call_arg_guard_pred(func, instr.idx).unwrap();
+        api.add_call_arg_reg_val64(func, instr.idx, base.0).unwrap();
+        api.add_call_arg_imm32(func, instr.idx, offset).unwrap();
+        sites += 1;
+    }
+    sites
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuda::{FatBinary, KernelArg};
+    use cuda::{Driver, FatBinary, KernelArg};
     use gpu::{DeviceSpec, Dim3};
     use nvbit::attach_tool;
     use sass::Arch;
